@@ -22,6 +22,9 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+# The linear flow table the classifier is measured against lives with the
+# parity tests that use it as their oracle.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 from repro.core.cache import DecisionCache  # noqa: E402
 from repro.core.policy_engine import PolicyEngine  # noqa: E402
@@ -65,6 +68,10 @@ from repro.workloads.telemetry import (  # noqa: E402
     ConfickerTelemetryBench,
     TelemetryOverheadBench,
 )
+from flow_table_reference import LinearFlowTable  # noqa: E402
+
+#: Same-run classifier-over-linear-table speedup the churn micro-bench must reach.
+FLOW_TABLE_CHURN_SPEEDUP_FLOOR = 10.0
 
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
 
@@ -181,6 +188,65 @@ def bench_flow_table(results: dict) -> None:
     results["packet_wire_size"] = _timeit(packet.wire_size)
 
 
+def _flow_table_churn(table_class, resident: int = 1000, lifetime: int = 500):
+    """Return one step of switch-table churn at ``resident`` entries.
+
+    Each step is what a switch sees per new flow: an expiry pass, the
+    forward and reverse entries of a decision installed under one cookie,
+    one lookup of each, and a cookie-scoped wildcard delete (the path
+    unwind) of the decision installed ``lifetime`` steps earlier.  Half
+    the decisions are unwound that way; the other half idle out through
+    ``expire`` at the same age, so the table stays at ``resident``
+    entries.
+    """
+    table = table_class(name="churn")
+    tick = 0.001
+    idle = lifetime * tick
+    unwind = Match()
+
+    def flow(step: int):
+        src = f"10.{(step >> 8) & 0xFF}.{step & 0xFF}.1"
+        port = 1024 + step % 60000
+        return (
+            Match.from_five_tuple(src, "10.200.0.1", 6, port, 80),
+            Match.from_five_tuple("10.200.0.1", src, 6, 80, port),
+            Packet.tcp(src, "10.200.0.1", port, 80),
+            Packet.tcp("10.200.0.1", src, 80, port),
+        )
+
+    def install(step: int, now: float) -> tuple:
+        forward, reverse, *packets = flow(step)
+        idle_timeout = idle if step % 2 else 0.0
+        for match in (forward, reverse):
+            entry = make_entry(match, [OutputAction(1)], idle_timeout=idle_timeout,
+                               cookie=f"decision-{step}")
+            table.install(entry, now=now)
+        return packets
+
+    for step in range(-(resident // 2), 0):
+        install(step, step * tick)
+    clock = [0]
+
+    def churn_step() -> None:
+        step = clock[0]
+        clock[0] = step + 1
+        now = step * tick
+        table.expire(now)
+        for packet in install(step, now):
+            table.lookup(packet, in_port=1, now=now)
+        old = step - lifetime
+        if old % 2 == 0:
+            table.remove(unwind, cookie=f"decision-{old}")
+
+    return churn_step
+
+
+def bench_flow_table_churn(results: dict) -> None:
+    """Tuple-space classifier vs the linear reference, same workload, same run."""
+    results["flow_table_churn"] = _timeit(_flow_table_churn(FlowTable))
+    results["flow_table_churn_reference"] = _timeit(_flow_table_churn(LinearFlowTable))
+
+
 def bench_flow_generator(results: dict) -> None:
     templates = [
         FlowTemplate(
@@ -285,6 +351,7 @@ def main() -> int:
     bench_policy_engine(results)
     bench_decision_cache(results)
     bench_flow_table(results)
+    bench_flow_table_churn(results)
     bench_flow_generator(results)
     print("running churn soak ...")
     bench_churn_soak(results)
@@ -322,6 +389,11 @@ def main() -> int:
         "batch_speedup_2000_rules": round(
             results["policy_eval_batch_2000"]["ops_per_sec"]
             / results["policy_eval_interpreted_2000"]["ops_per_sec"],
+            1,
+        ),
+        "flow_table_speedup_churn": round(
+            results["flow_table_churn"]["ops_per_sec"]
+            / results["flow_table_churn_reference"]["ops_per_sec"],
             1,
         ),
         "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
@@ -386,6 +458,12 @@ def main() -> int:
     print(f"wrote {os.path.relpath(RESULTS_PATH)}")
     if derived["compiled_speedup_2000_rules"] < 5.0:
         print("FAIL: compiled speedup at 2000 rules below the 5x acceptance floor")
+        return 1
+    if derived["flow_table_speedup_churn"] < FLOW_TABLE_CHURN_SPEEDUP_FLOOR:
+        print(
+            f"FAIL: flow-table classifier speedup under churn below the "
+            f"{FLOW_TABLE_CHURN_SPEEDUP_FLOOR:g}x acceptance floor"
+        )
         return 1
     if not derived["soak_state_bounded"]:
         print("FAIL: churn soak left unbounded flow state (see soak_churn_100k.violations)")

@@ -9,11 +9,20 @@ A :class:`Match` leaves any subset of those fields wildcarded (``None``).
 IP address fields additionally accept CIDR prefixes so a single flow
 entry can cover a subnet, which the ident++ controller uses when caching
 decisions about whole departments.
+
+Each match precomputes what the tuple-space flow table classifies on:
+its field values, its *wildcard mask* (per field ``None`` for a
+wildcard, ``True`` for an exact value, or the prefix length of an IP
+field) and its *hash key* (the constrained values in field order, an IP
+field reduced to its network integer).  Matches sharing a mask share
+one hash table in the flow table, and a packet matches an entry of that
+table exactly when the packet's values, masked the same way, equal the
+entry's key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.exceptions import MatchError
@@ -21,6 +30,14 @@ from repro.netsim.addresses import IPv4Address, IPv4Network, MACAddress
 from repro.netsim.packet import Packet
 
 _IPField = Union[IPv4Address, IPv4Network, str, None]
+
+#: The ten match fields in OpenFlow order (the order of :attr:`Match._values`).
+FIELD_NAMES = (
+    "in_port", "dl_src", "dl_dst", "dl_type", "vlan_id",
+    "nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst",
+)
+#: Positions of the IP address fields, the only ones that take prefixes.
+IP_FIELD_INDEXES = (5, 6)
 
 
 @dataclass(frozen=True)
@@ -49,14 +66,40 @@ class Match:
     tp_dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dl_src", _normalize_mac(self.dl_src))
-        object.__setattr__(self, "dl_dst", _normalize_mac(self.dl_dst))
-        object.__setattr__(self, "nw_src", _normalize_ip(self.nw_src))
-        object.__setattr__(self, "nw_dst", _normalize_ip(self.nw_dst))
-        for name in ("tp_src", "tp_dst"):
-            value = getattr(self, name)
+        dl_src = _normalize_mac(self.dl_src)
+        dl_dst = _normalize_mac(self.dl_dst)
+        nw_src = _normalize_ip(self.nw_src)
+        nw_dst = _normalize_ip(self.nw_dst)
+        for name, value in (("tp_src", self.tp_src), ("tp_dst", self.tp_dst)):
             if value is not None and not 0 <= value <= 0xFFFF:
                 raise MatchError(f"{name} out of range: {value}")
+        values = (
+            self.in_port, dl_src, dl_dst, self.dl_type, self.vlan_id,
+            nw_src, nw_dst, self.nw_proto, self.tp_src, self.tp_dst,
+        )
+        mask = [None if value is None else True for value in values]
+        keyed = list(values)
+        mask[5], keyed[5] = _ip_mask_and_key(nw_src)
+        mask[6], keyed[6] = _ip_mask_and_key(nw_dst)
+        key = tuple([value for value in keyed if value is not None])
+        # Written past the frozen __setattr__ in one step.  Only the four
+        # normalised fields are dataclass fields; the rest are not, so
+        # equality and repr are unchanged, and the hash is the one the
+        # dataclass would compute, taken once.
+        self.__dict__.update(
+            dl_src=dl_src,
+            dl_dst=dl_dst,
+            nw_src=nw_src,
+            nw_dst=nw_dst,
+            _values=values,
+            _mask=tuple(mask),
+            _key=key,
+            _specificity=len(key),
+            _hash=hash(values),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -125,29 +168,25 @@ class Match:
 
     def specificity(self) -> int:
         """Return how many fields are constrained (used to break priority ties)."""
-        count = 0
-        for field_def in fields(self):
-            if getattr(self, field_def.name) is not None:
-                count += 1
-        return count
+        return self._specificity
 
     def is_exact(self) -> bool:
         """Return ``True`` when every field is constrained (no wildcards)."""
-        return self.specificity() == len(fields(self))
+        return self._specificity == len(FIELD_NAMES)
 
     def covers(self, other: "Match") -> bool:
         """Return ``True`` if every packet matching ``other`` also matches ``self``.
 
         Used when removing overlapping entries from a flow table.
         """
-        for field_def in fields(self):
-            mine = getattr(self, field_def.name)
-            theirs = getattr(other, field_def.name)
+        theirs_values = other._values
+        for index, mine in enumerate(self._values):
             if mine is None:
                 continue
+            theirs = theirs_values[index]
             if theirs is None:
                 return False
-            if field_def.name in ("nw_src", "nw_dst"):
+            if index in IP_FIELD_INDEXES:
                 if not _ip_field_covers(mine, theirs):
                     return False
             elif mine != theirs:
@@ -159,11 +198,11 @@ class Match:
         return (self.nw_src, self.nw_dst, self.nw_proto, self.tp_src, self.tp_dst)
 
     def __str__(self) -> str:
-        parts = []
-        for field_def in fields(self):
-            value = getattr(self, field_def.name)
-            if value is not None:
-                parts.append(f"{field_def.name}={value}")
+        parts = [
+            f"{name}={value}"
+            for name, value in zip(FIELD_NAMES, self._values)
+            if value is not None
+        ]
         return "Match(" + ", ".join(parts) + ")" if parts else "Match(*)"
 
 
@@ -183,6 +222,15 @@ def _normalize_ip(value: object) -> _IPField:
     if isinstance(value, int):
         return IPv4Address(value)
     raise MatchError(f"cannot interpret {value!r} as an IP match field")
+
+
+def _ip_mask_and_key(value: _IPField) -> tuple[Optional[int], Optional[int]]:
+    """Return an IP field's prefix length and network integer (``None`` twice if wildcarded)."""
+    if value is None:
+        return None, None
+    if isinstance(value, IPv4Network):
+        return value.prefix_len, value.network_address.to_int()
+    return 32, value.to_int()
 
 
 def _ip_field_matches(field_value: _IPField, packet_value: Optional[IPv4Address]) -> bool:

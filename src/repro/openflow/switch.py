@@ -218,8 +218,7 @@ class OpenFlowSwitch(Node):
             # A dead switch sweeps nothing and notifies nobody.
             return 0
         expired = self.flow_table.expire(now)
-        for entry in expired:
-            self._notify_removed(entry)
+        self._notify_expired(expired, now)
         return len(expired)
 
     # ------------------------------------------------------------------
@@ -242,9 +241,7 @@ class OpenFlowSwitch(Node):
             self.forwarded.increment()
             self.flood(packet, exclude=in_port)
             return
-        expired = self.flow_table.expire(self.now)
-        for entry in expired:
-            self._notify_removed(entry)
+        self._notify_expired(self.flow_table.expire(self.now), self.now)
         entry = self.flow_table.lookup(packet, in_port.number, now=self.now)
         if entry is not None:
             self._record("hit", packet, note=entry.cookie)
@@ -310,6 +307,16 @@ class OpenFlowSwitch(Node):
                     channel.send_to_controller(message)
             else:
                 raise OpenFlowError(f"switch {self.name} cannot apply {type(action).__name__}")
+
+    def _notify_expired(self, expired: Sequence[FlowEntry], now: float) -> None:
+        """Notify the removal of timed-out entries, naming the timeout that fired.
+
+        The hard timeout wins when it has elapsed (OpenFlow 1.0's
+        ``OFPRR_HARD_TIMEOUT``); otherwise the entry idled out.
+        """
+        for entry in expired:
+            hard = entry.hard_timeout and now - entry.installed_at >= entry.hard_timeout
+            self._notify_removed(entry, reason="hard_timeout" if hard else "idle_timeout")
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
         self.flow_removed.increment()

@@ -128,6 +128,31 @@ class TestSwitchDatapath:
         switch.handle_message(FlowMod(match=Match(), command=FlowModCommand.DELETE))
         assert len(switch.flow_table) == 0
 
+    def test_flow_removed_names_the_timeout_that_fired(self):
+        removed = []
+
+        class RemovalRecorder(RecordingController):
+            def on_flow_removed(self, message):
+                removed.append((message.cookie, message.reason))
+
+        topo, switch, host_a, _ = build_fabric(RemovalRecorder())
+        # A drop entry capped by a hard timeout shorter than its idle
+        # timeout, beside an entry that simply idles out.
+        switch.handle_message(FlowMod(match=Match(tp_dst=80), actions=[DropAction()],
+                                      idle_timeout=10.0, hard_timeout=2.0, cookie="hard"))
+        switch.handle_message(FlowMod(match=Match(tp_dst=81), actions=[OutputAction(2)],
+                                      idle_timeout=1.0, cookie="idle"))
+        topo.sim.schedule(3.0, host_a.send, Packet.tcp("1.1.1.1", "2.2.2.2", 1, 22),
+                          host_a.port(1))
+        topo.run()
+        assert removed == [("hard", "hard_timeout"), ("idle", "idle_timeout")]
+        # The lifecycle sweep path reports the same way.
+        switch.handle_message(FlowMod(match=Match(tp_dst=80), actions=[DropAction()],
+                                      idle_timeout=10.0, hard_timeout=2.0, cookie="swept"))
+        switch.sweep_expired(topo.sim.now + 2.0)
+        topo.run()
+        assert removed[-1] == ("swept", "hard_timeout")
+
     def test_compromised_switch_floods_everything(self):
         topo, switch, host_a, host_b = build_fabric()
         switch.handle_message(FlowMod(match=Match(), actions=[DropAction()]))
