@@ -82,13 +82,12 @@ class PathInstall:
 class DecisionTask:
     """One punted flow's trip through the continuation-scheduled pipeline.
 
-    A punt no longer runs as one synchronous call chain; it advances
-    through schedulable stages, each entered by its own event:
+    A punt advances through schedulable stages, each entered by its own
+    event:
 
-    * ``wait`` — (serial core only) queued for the loop, queries not
-      yet dispatched;
+    * ``wait`` — queued for the serial stage, queries not yet dispatched;
     * ``query`` — endpoint queries dispatched, answers in flight;
-    * ``queued`` — answers in, waiting for the serialized eval loop;
+    * ``queued`` — answers in, waiting for the serial stage;
     * ``eval`` — occupying the policy-eval stage.
 
     ``arrival`` doubles as the punt's generation token: any stage whose
@@ -102,22 +101,28 @@ class DecisionTask:
     switch: OpenFlowSwitch
     stage: str = "query"
     outcomes: list = field(default_factory=list)
-    #: When the last endpoint answer landed (0.0 until then).
-    ready_at: float = 0.0
 
 
 class SerialDecisionQueue:
-    """The controller's serialized stage as a real event-scheduled queue.
+    """The controller's serial stage as a real event-scheduled queue.
 
-    Replaces the old ``_busy_until`` timestamp fiction: instead of
-    reserving a closed-form slot arithmetically at punt time, tasks now
-    wait on an actual FIFO and occupy the loop one at a time, each
-    service ending with a scheduled completion event.  Queueing delay
-    emerges from the event timeline — on a uniform trace it matches the
-    old closed form exactly (``tests/test_decision_core.py`` proves the
-    recurrence), while heterogeneous traces are now served in *ready*
-    order rather than punt order, and superseded punts no longer occupy
-    phantom slots.
+    Tasks wait on a FIFO and hold the stage one at a time.  How long a
+    task holds it depends on the stage it was submitted at:
+
+    * ``queued`` (``serialize_decisions`` under the async core) — the
+      answers are already in, so the task holds the stage for one
+      ``policy_eval_delay`` service event;
+    * ``wait`` (the serial core) — the task takes the stage *before*
+      its queries go out and holds it from dispatch, through the
+      ``Future.gather`` barrier, until its eval ends, so daemon latency
+      sums across punts.
+
+    Both shapes run on the one async query path; only the span the
+    stage is held differs.  Queueing delay emerges from the event
+    timeline: on a uniform trace completions space exactly one service
+    apart (``tests/test_decision_core.py`` checks the recurrence),
+    heterogeneous traces are served in *ready* order, and superseded
+    punts occupy no phantom slots.
     """
 
     def __init__(self, controller: "IdentPPController") -> None:
@@ -132,6 +137,10 @@ class SerialDecisionQueue:
     def busy(self) -> bool:
         """Return ``True`` while a task occupies the loop."""
         return self._current is not None
+
+    def holds(self, task: DecisionTask) -> bool:
+        """Return whether ``task`` currently occupies the stage."""
+        return self._current is task
 
     def depth(self) -> int:
         """Return queued plus in-service tasks."""
@@ -159,14 +168,28 @@ class SerialDecisionQueue:
                 controller._report_stale_continuation(task, where="serial queue")
                 continue
             self._current = task
-            service = controller._service_time(task)
-            if controller.sim is not None:
-                self._event = controller.sim.schedule(
-                    service, self._finish, task, label=f"{controller.name}:decide"
-                )
+            if task.stage == "wait":
+                # Serial core: dispatch from inside the stage and keep
+                # holding it while the answers are in flight.
+                controller._dispatch_queries_async(task)
             else:
-                self._finish(task)
+                self.serve(task)
             return
+
+    def serve(self, task: DecisionTask) -> None:
+        """Hold the stage for ``task``'s policy eval (one scheduled event)."""
+        controller = self._controller
+        task.stage = "eval"
+        self._event = controller.sim.schedule(
+            controller.config.policy_eval_delay, self._finish, task,
+            label=f"{controller.name}:decide",
+        )
+
+    def release(self, task: DecisionTask) -> None:
+        """Free the stage if ``task`` still holds it (its answers died)."""
+        if self._current is task:
+            self._current = None
+            self._start_next()
 
     def _finish(self, task: DecisionTask) -> None:
         self._current = None
@@ -211,24 +234,27 @@ class ControllerConfig:
     * ``serialize_decisions`` — model the controller's *policy-eval*
       stage as a single serial loop: each evaluation occupies it for
       ``policy_eval_delay``, so concurrent punts queue behind each other
-      instead of overlapping.  The queue is a real event-scheduled
-      serial resource (:class:`SerialDecisionQueue`); query round-trips
-      still overlap fully under the async core.  This is what makes one
-      controller a measurable scalability chokepoint (and sharding a
-      measurable win); off by default so existing scenario timelines are
+      instead of overlapping.  The stage is a real event-scheduled
+      queue (:class:`SerialDecisionQueue`); under the async core query
+      round-trips still overlap fully, because a punt joins the queue
+      only once its answers are in.  This is what makes one controller
+      a measurable scalability chokepoint (and sharding a measurable
+      win); off by default so existing scenario timelines are
       unchanged.
 
     The decision-core knobs pick how punts traverse the pipeline:
 
-    * ``decision_core`` — ``"async"`` (the default) runs each punt as a
-      chain of continuations on the simulator: queries are dispatched
-      immediately and the loop is yielded, each endpoint answer arrives
-      as its own event, and only policy eval can serialize.  Thousands
-      of round-trips overlap, so daemon latency sets flow-setup latency
-      but not throughput.  ``"serial"`` models the naive synchronous
-      controller: one punt is serviced end to end (queries *and* eval)
-      before the next starts, so daemon latency sums across punts — the
-      baseline the overlap bench measures the async core against.
+    * ``decision_core`` — how wide the serial stage is.  Both values
+      run the same continuation pipeline: queries dispatched through
+      the engine's async path, each endpoint answer its own event, a
+      gather barrier, then a scheduled eval.  ``"async"`` (the default)
+      dispatches at punt time and yields the loop, so thousands of
+      round-trips overlap and daemon latency sets flow-setup latency
+      but not throughput; only eval can serialize.  ``"serial"`` is
+      the baseline the overlap bench measures against: a punt takes
+      the serial stage *before* its queries go out and holds it from
+      dispatch until its eval ends, so daemon latency sums across
+      punts.
     * ``nonblocking_inbox`` — queue switch→controller messages and
       drain them from a scheduled event instead of handling them inside
       the channel's delivery call (see
@@ -390,7 +416,7 @@ class IdentPPController(Controller):
         )
         # Punted flows are normally failed closed by their own one-shot
         # deadline event; the sweep only backstops flows whose event is
-        # missing (sim-less operation, a reset that dropped the queue),
+        # missing (cancelled out of band, a reset that dropped the queue),
         # so covered flows don't keep the service ticking.
         self.lifecycle.register(
             "pending",
@@ -506,7 +532,7 @@ class IdentPPController(Controller):
             return
         self._pending[flow] = [message]
         self._pending_since[flow] = arrival
-        if self.sim is not None and self.config.pending_deadline > 0:
+        if self.config.pending_deadline > 0:
             # Fail-closed backstop: if the decision is lost (an exception
             # mid-pipeline, a dropped event), this fires and drops the
             # buffered packets instead of stranding the flow forever.  A
@@ -524,19 +550,15 @@ class IdentPPController(Controller):
         task = DecisionTask(flow=flow, arrival=arrival, switch=message.switch)
         self._inflight[flow] = task
         if self.config.decision_core == "serial":
-            # Baseline synchronous controller: the loop services one
-            # punt end to end — queries *and* eval — before the next
-            # starts, so daemon latency sums across concurrent punts.
+            # Baseline controller: the punt takes the serial stage
+            # before its queries go out and holds it through the eval,
+            # so daemon latency sums across concurrent punts.
             task.stage = "wait"
             self._serial.submit(task)
             return
         # Async core: dispatch the endpoint queries now and yield the
-        # loop.  Each answer arrives as its own scheduled event; the
-        # gather barrier fires _answers_ready at the instant the last
-        # one lands, so thousands of round-trips overlap in flight.
-        Future.gather(self._dispatch_queries_async(flow, message.switch)).add_done_callback(
-            lambda outcomes, task=task: self._answers_ready(task, outcomes)
-        )
+        # loop, so thousands of round-trips overlap in flight.
+        self._dispatch_queries_async(task)
 
     def _note_punt_for_promotion(
         self, flow: FlowSpec, switch: OpenFlowSwitch, arrival: float
@@ -560,48 +582,31 @@ class IdentPPController(Controller):
             if engine.subscribe_host(ip, from_node=switch, now=arrival):
                 del self._push_punt_counts[ip]
 
-    def _query_endpoints(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[QueryOutcome]:
-        """Issue the ident++ queries for a flow (both ends, or source only).
+    def _dispatch_queries_async(self, task: DecisionTask) -> None:
+        """Dispatch the ident++ queries for a task; answers arrive as events.
 
         Queries go through the :class:`QueryEngine`, so with a non-zero
         ``query_cache_ttl`` a hot endpoint's answer is fetched once and
         shared: repeat punts hit the cache, concurrent punts coalesce
         onto the one outstanding query, and daemon-less hosts cost one
-        timeout per TTL.  With the default TTL of ``0`` the engine is a
-        pass-through and every punt queries fresh.
+        timeout per TTL.  Each endpoint's answer completes its own
+        :class:`~repro.netsim.events.Future` at the instant it lands;
+        the gather barrier fires :meth:`_answers_ready` when the last
+        one does.
         """
-        interceptors = tuple(self.peer_interceptors)
-        if self.config.query_both_ends:
-            src_outcome, dst_outcome = self.query_engine.query_both_ends(
-                flow, from_node=switch, keys=self.config.query_keys, interceptors=interceptors
-            )
-            return [src_outcome, dst_outcome]
-        src_outcome = self.query_engine.query(
-            flow, "src", from_node=switch, keys=self.config.query_keys, interceptors=interceptors
+        task.stage = "query"
+        engine = self.query_engine
+        kwargs = dict(
+            from_node=task.switch, keys=self.config.query_keys,
+            interceptors=tuple(self.peer_interceptors),
         )
-        return [src_outcome]
-
-    def _dispatch_queries_async(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[Future]:
-        """Dispatch the ident++ queries for a flow; answers arrive as events.
-
-        The async twin of :meth:`_query_endpoints`: the same engine
-        semantics (cache hits, coalescing onto in-flight round-trips,
-        negative caching), but each endpoint's answer completes its own
-        :class:`~repro.netsim.events.Future` at the instant it lands
-        instead of being charged as one opaque blocking delay.
-        """
-        interceptors = tuple(self.peer_interceptors)
         if self.config.query_both_ends:
-            src_future, dst_future = self.query_engine.query_both_ends_async(
-                flow, from_node=switch, keys=self.config.query_keys, interceptors=interceptors
-            )
-            return [src_future, dst_future]
-        return [
-            self.query_engine.query_async(
-                flow, "src", from_node=switch, keys=self.config.query_keys,
-                interceptors=interceptors,
-            )
-        ]
+            futures = list(engine.query_both_ends_async(task.flow, **kwargs))
+        else:
+            futures = [engine.query_async(task.flow, "src", **kwargs)]
+        Future.gather(futures).add_done_callback(
+            lambda outcomes: self._answers_ready(task, outcomes)
+        )
 
     def _answers_ready(self, task: DecisionTask, outcomes: list) -> None:
         """Continuation: the last endpoint answer landed; head for eval.
@@ -610,30 +615,33 @@ class IdentPPController(Controller):
         punt was resolved while the queries were in flight (deadline,
         failover export, re-punt) discards itself here; a halted
         controller leaves the task frozen for ``export_pending``.
+        Either way a serial-core task gives the stage back.
         """
         task.outcomes = list(outcomes)
-        task.ready_at = self.now
-        query_cost = QueryClient.combined_latency(task.outcomes)
-        self.query_latency.observe(query_cost)
+        self.query_latency.observe(QueryClient.combined_latency(task.outcomes))
+        serial = self._serial
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays
             # in ``_pending`` for the failover monitor to export.
+            serial.release(task)
             return
         if self._inflight.get(task.flow) is not task:
             self._report_stale_continuation(task, where="answer arrival")
+            serial.release(task)
             return
-        if self.config.serialize_decisions:
+        if serial.holds(task):
+            # Serial core: the task held the stage through its queries
+            # and keeps it for the eval.
+            serial.serve(task)
+        elif self.config.serialize_decisions:
             task.stage = "queued"
-            self._serial.submit(task)
-            return
-        task.stage = "eval"
-        if self.sim is not None:
+            serial.submit(task)
+        else:
+            task.stage = "eval"
             self.sim.schedule(
                 self.config.policy_eval_delay, self._eval_step, task,
                 label=f"{self.name}:decide",
             )
-        else:
-            self._eval_step(task)
 
     def _eval_step(self, task: DecisionTask) -> None:
         """Continuation: the policy-eval slot elapsed; hand over for batching."""
@@ -652,9 +660,9 @@ class IdentPPController(Controller):
         mis-tuned scenario, so under ``Simulator(sanitize=True)`` each
         discard is reported instead of vanishing.
         """
-        sim = self.sim
-        if sim is not None and sim.sanitizer is not None:
-            sim.sanitizer.report(
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.report(
                 KIND_STALE_CONTINUATION,
                 f"{self.name}: {where} continuation for {flow} "
                 f"(punt generation t={arrival:g}) found its task superseded",
@@ -662,32 +670,14 @@ class IdentPPController(Controller):
 
     def _report_stale_continuation(self, task: DecisionTask, *, where: str) -> None:
         """Task-object form of :meth:`_report_stale` (adds the stage)."""
-        sim = self.sim
-        if sim is not None and sim.sanitizer is not None:
-            sim.sanitizer.report(
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.report(
                 KIND_STALE_CONTINUATION,
                 f"{self.name}: {where} continuation for {task.flow} "
                 f"(punt generation t={task.arrival:g}, stage={task.stage}) "
                 f"found its task superseded",
             )
-
-    def _service_time(self, task: DecisionTask) -> float:
-        """Return how long ``task`` occupies the serialized loop.
-
-        Under the async core the queries already ran; only the eval
-        occupies the loop.  Under the serial core the loop performs the
-        blocking query round-trip itself, so the punt holds it for the
-        queries *plus* the eval — the collapse the overlap bench shows.
-        """
-        if task.stage == "wait":
-            task.outcomes = self._query_endpoints(task.flow, task.switch)
-            query_cost = QueryClient.combined_latency(task.outcomes)
-            self.query_latency.observe(query_cost)
-            task.ready_at = self.now
-            task.stage = "eval"
-            return query_cost + self.config.policy_eval_delay
-        task.stage = "eval"
-        return self.config.policy_eval_delay
 
     def _complete_decision(
         self,
@@ -720,12 +710,9 @@ class IdentPPController(Controller):
         src_doc = outcomes[0].document if outcomes else None
         dst_doc = outcomes[1].document if len(outcomes) > 1 else None
         self._decision_queue.append((flow, src_doc, dst_doc, outcomes, arrival))
-        if self.sim is not None:
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.sim.schedule(0.0, self._flush_decisions, label=f"{self.name}:decide-flush")
-        else:
-            self._flush_decisions()
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.sim.schedule(0.0, self._flush_decisions, label=f"{self.name}:decide-flush")
 
     def _flush_decisions(self) -> None:
         """Evaluate every queued ready flow in one batch and program the datapath."""
@@ -1289,7 +1276,7 @@ class IdentPPController(Controller):
         # still-queued (non-superseded) work and revived punts are
         # served again instead of stalling behind a dead service slot.
         self._serial.restart()
-        if self.sim is not None and self.config.pending_deadline > 0:
+        if self.config.pending_deadline > 0:
             for flow in self._pending:
                 stale = self._pending_deadline_events.pop(flow, None)
                 if stale is not None:

@@ -28,7 +28,7 @@ from typing import Optional, Protocol, Sequence
 from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
-from repro.identpp.wire import DEFAULT_QUERY_KEYS, IdentQuery, IdentResponse, ROLE_DESTINATION, ROLE_SOURCE
+from repro.identpp.wire import DEFAULT_QUERY_KEYS, IdentQuery, IdentResponse
 from repro.netsim.events import Future
 from repro.netsim.nodes import Node
 from repro.netsim.statistics import Counter
@@ -223,53 +223,24 @@ class QueryClient:
         :class:`QueryOutcome` at ``now + outcome.latency`` on the
         topology's simulator — so a controller can interleave thousands
         of in-flight queries and react to each answer the instant it
-        lands.  Without a simulator the future completes immediately
-        (degenerate synchronous operation, used by sim-less tests).
+        lands.  A zero-latency outcome completes the future at once.
         """
         outcome = self.query(
             flow, role, from_node=from_node, keys=keys, interceptors=interceptors
         )
+        return self.deliver(outcome)
+
+    def deliver(self, outcome: QueryOutcome) -> Future:
+        """Return a future completing with ``outcome`` when its answer lands."""
         future = Future()
-        sim = self.topology.sim
-        if sim is None or outcome.latency <= 0:
+        if outcome.latency <= 0:
             future.set_result(outcome)
         else:
-            sim.schedule(
+            self.topology.sim.schedule(
                 outcome.latency, future.set_result, outcome,
-                label=f"identpp:answer:{role}",
+                label=f"identpp:answer:{outcome.query.target_role}",
             )
         return future
-
-    def query_both_ends(
-        self,
-        flow: FlowSpec,
-        *,
-        from_node: Optional[Node] = None,
-        keys: Optional[Sequence[str]] = None,
-        interceptors: Sequence[QueryInterceptor] = (),
-    ) -> tuple[QueryOutcome, QueryOutcome]:
-        """Query the source and the destination of ``flow`` (§2 step 3).
-
-        The two queries are issued in parallel in a real deployment, so
-        the caller should charge ``max`` of the two latencies, not the
-        sum; :meth:`combined_latency` does that.
-
-        ``interceptors`` are given ordered from the querier toward the
-        flow's **destination**.  :meth:`query`'s contract wants them
-        ordered toward the *target* of each query, and the on-path order
-        toward the source is the reverse of the order toward the
-        destination — so the source-side query walks them reversed (see
-        :func:`per_role_interceptors`).
-        """
-        toward_source, toward_destination = per_role_interceptors(interceptors)
-        src_outcome = self.query(
-            flow, ROLE_SOURCE, from_node=from_node, keys=keys, interceptors=toward_source
-        )
-        dst_outcome = self.query(
-            flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination,
-        )
-        return src_outcome, dst_outcome
 
     @staticmethod
     def combined_latency(outcomes: Sequence[QueryOutcome]) -> float:

@@ -3,7 +3,7 @@
 The paper's flow-setup cost is dominated by step 3 of §2: the
 controller "requests additional information from both the source and
 the destination end-hosts".  Issued naively that is two fresh
-synchronous round-trips per punt, so a popular server's daemon is
+round-trips per punt, so a popular server's daemon is
 re-interrogated once per flow and a daemon-less legacy host (§4,
 "Incremental Benefit") burns a full query timeout on every connection
 attempt.  :class:`QueryEngine` sits between the controller and its
@@ -29,6 +29,11 @@ three ways:
   self-heal: a daemon appearing on the host, or any topology mutation
   (for unreachable hosts), invalidates them on the next lookup.
 
+The query surface is asynchronous (:meth:`QueryEngine.query_async`,
+:meth:`QueryEngine.query_both_ends_async`): every answer is a
+:class:`~repro.netsim.events.Future` that completes on the topology's
+simulator at the instant the answer is really available.
+
 Two correctness guards bound what the cache may share:
 
 * **Interception is per-query.**  A query carrying on-path
@@ -44,8 +49,9 @@ Two correctness guards bound what the cache may share:
   attributed to another.  Only a listener's flow-independent answer
   (the hot-server case) is shared across flows.
 
-A TTL of ``0`` disables the engine entirely (every call passes straight
-through to the client), which is the default wiring so existing
+A TTL of ``0`` (with the push plane off) makes the engine a
+pass-through: each query goes to :meth:`QueryClient.query_async`
+uncached and uncounted.  That is the default wiring, so existing
 scenario timelines are unchanged; benchmarks and production configs
 opt in via ``ControllerConfig.query_cache_ttl``.
 
@@ -56,7 +62,7 @@ daemon (wire-v2 SUBSCRIBE, capability-negotiated — a legacy daemon
 refuses and the pull path above applies untouched) and keeps the host's
 shareable destination answers in a **resident store**.  Resident
 answers are authoritative-until-delta: they never expire, punts on them
-are served synchronously with **zero** daemon round-trips, and when the
+are answered at once with **zero** daemon round-trips, and when the
 daemon pushes a serial-numbered :class:`IdentDelta` the engine drops
 and proactively *re-primes* each resident answer off the punt path — so
 convergence after an identity change costs the first post-change punt
@@ -240,93 +246,6 @@ class QueryEngine:
         """Return whether the engine does anything beyond pass-through."""
         return self.ttl > 0.0 or self.negative_ttl > 0.0 or self.push
 
-    def query(
-        self,
-        flow: FlowSpec,
-        role: str,
-        *,
-        from_node=None,
-        keys: Optional[Sequence[str]] = None,
-        interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
-    ) -> QueryOutcome:
-        """Answer one endpoint query, from cache when possible.
-
-        Same signature as :meth:`QueryClient.query` plus an optional
-        explicit clock reading (defaults to the topology's simulator).
-        Queries carrying interceptors bypass the cache: interception is
-        a per-query decision (§3.4) a warm entry must not pre-empt.
-        """
-        if not self.enabled:
-            return self.client.query(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-            )
-        if interceptors:
-            self.interceptor_bypasses += 1
-            return self.client.query(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-            )
-        now = self._now(now)
-        key = self._key(flow, role, keys)
-        resident = self._resident.get(key)
-        if resident is not None:
-            # Subscribed host: the resident answer is authoritative and
-            # costs zero round trips (or, mid-refresh, the remainder of
-            # the delta-triggered re-prime already in flight).
-            outcome = self._serve(resident, flow, role, keys, now)
-            if not outcome.coalesced:
-                self._note_resident_hit(resident, now)
-            return outcome
-        entry = self._entries.get(key)
-        if entry is not None and not self._valid(entry, now):
-            del self._entries[key]
-            self.expirations += 1
-            entry = None
-        if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
-            # Another flow's flow-scoped answer: this flow must query
-            # fresh (the entry stays valid for its own flow's re-punts,
-            # though a refill under the same key replaces it).
-            entry = None
-        if entry is not None:
-            return self._serve(entry, flow, role, keys, now)
-        self.misses += 1
-        outcome = self.client.query(
-            flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-        )
-        self._fill(key, outcome, now)
-        return outcome
-
-    def query_both_ends(
-        self,
-        flow: FlowSpec,
-        *,
-        from_node=None,
-        keys: Optional[Sequence[str]] = None,
-        interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
-    ) -> tuple[QueryOutcome, QueryOutcome]:
-        """Query both ends of ``flow`` through the cache (§2 step 3).
-
-        Mirrors :meth:`QueryClient.query_both_ends`, including its
-        per-role interceptor ordering: ``interceptors`` are given
-        querier → destination, and the source-side query walks them
-        reversed.
-        """
-        toward_source, toward_destination = per_role_interceptors(interceptors)
-        src_outcome = self.query(
-            flow, ROLE_SOURCE, from_node=from_node, keys=keys,
-            interceptors=toward_source, now=now,
-        )
-        dst_outcome = self.query(
-            flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination, now=now,
-        )
-        return src_outcome, dst_outcome
-
-    # ------------------------------------------------------------------
-    # Async queries (continuation-scheduled decision core)
-    # ------------------------------------------------------------------
-
     def query_async(
         self,
         flow: FlowSpec,
@@ -335,14 +254,13 @@ class QueryEngine:
         from_node=None,
         keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
     ) -> Future:
         """Dispatch one endpoint query; the answer arrives as a scheduled event.
 
-        Same cache semantics (and the same counters) as :meth:`query`,
-        but the result is delivered through a
-        :class:`~repro.netsim.events.Future` completing at the instant
-        the answer is really available:
+        Takes the arguments of :meth:`QueryClient.query`; the outcome is
+        delivered through a :class:`~repro.netsim.events.Future`
+        completing, on the topology's simulator, at the instant the
+        answer is really available:
 
         * a warm hit (or negative hit) completes immediately — a cached
           answer costs zero simulated time;
@@ -352,6 +270,8 @@ class QueryEngine:
         * a miss issues the real query and completes at
           ``now + outcome.latency``.
 
+        Queries carrying interceptors bypass the cache: interception is
+        a per-query decision (§3.4) a warm entry must not pre-empt.
         This is what lets the controller overlap thousands of in-flight
         round-trips instead of charging each as one opaque delay.
         """
@@ -365,13 +285,16 @@ class QueryEngine:
                 flow, role, from_node=from_node, keys=keys, interceptors=interceptors
             )
         future = Future()
-        now = self._now(now)
+        now = self.client.topology.sim.now
         key = self._key(flow, role, keys)
         resident = self._resident.get(key)
         if resident is not None:
+            # Subscribed host: the resident answer is authoritative and
+            # costs zero round trips (or, mid-refresh, the remainder of
+            # the delta-triggered re-prime already in flight).
             outcome = self._serve(resident, flow, role, keys, now)
             if outcome.coalesced:
-                self._enlist(resident, future, outcome, now)
+                self._enlist(resident, future, outcome)
             else:
                 self._note_resident_hit(resident, now)
                 future.set_result(outcome)
@@ -382,11 +305,14 @@ class QueryEngine:
             self.expirations += 1
             entry = None
         if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
+            # Another flow's flow-scoped answer: this flow must query
+            # fresh (the entry stays valid for its own flow's re-punts,
+            # though a refill under the same key replaces it).
             entry = None
         if entry is not None:
             outcome = self._serve(entry, flow, role, keys, now)
             if outcome.coalesced:
-                self._enlist(entry, future, outcome, now)
+                self._enlist(entry, future, outcome)
             else:
                 future.set_result(outcome)
             return future
@@ -396,18 +322,11 @@ class QueryEngine:
         )
         self._fill(key, outcome, now)
         entry = self._entries.get(key) or self._resident.get(key)
-        sim = self.client.topology.sim
-        if entry is not None and sim is not None and entry.ready_at > now:
-            # The filler waits on the very entry it created, through the
-            # same waiter list any coalescing punt joins.
-            self._enlist(entry, future, outcome, now)
-        elif sim is not None and outcome.latency > 0:
-            sim.schedule(
-                outcome.latency, future.set_result, outcome,
-                label=f"identpp:answer:{role}",
-            )
-        else:
-            future.set_result(outcome)
+        if entry is None or entry.ready_at <= now:
+            return self.client.deliver(outcome)
+        # The filler waits on the very entry it created, through the
+        # same waiter list any coalescing punt joins.
+        self._enlist(entry, future, outcome)
         return future
 
     def query_both_ends_async(
@@ -417,37 +336,34 @@ class QueryEngine:
         from_node=None,
         keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
     ) -> tuple[Future, Future]:
-        """Dispatch both endpoint queries; each answer arrives independently.
+        """Dispatch both endpoint queries of ``flow`` (§2 step 3).
 
-        Mirrors :meth:`query_both_ends` (including the per-role
-        interceptor ordering) but returns one future per endpoint, so
-        the caller can react to the faster answer without waiting for
-        the slower one.
+        Returns ``(src_future, dst_future)``, one per endpoint, so the
+        caller can react to the faster answer without waiting for the
+        slower one.  ``interceptors`` are given ordered from the querier
+        toward the flow's **destination**; the source-side query walks
+        them reversed (see :func:`per_role_interceptors`).
         """
         toward_source, toward_destination = per_role_interceptors(interceptors)
         src_future = self.query_async(
             flow, ROLE_SOURCE, from_node=from_node, keys=keys,
-            interceptors=toward_source, now=now,
+            interceptors=toward_source,
         )
         dst_future = self.query_async(
             flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination, now=now,
+            interceptors=toward_destination,
         )
         return src_future, dst_future
 
-    def _enlist(self, entry: CacheEntry, future: Future, outcome: QueryOutcome, now: float) -> None:
+    def _enlist(self, entry: CacheEntry, future: Future, outcome: QueryOutcome) -> None:
         """Park a continuation on an in-flight entry's waiter list."""
-        sim = self.client.topology.sim
-        if sim is None or entry.ready_at <= now:
-            future.set_result(outcome)
-            return
         entry.waiters.append((future, outcome))
         if not entry.arrival_armed:
             entry.arrival_armed = True
+            sim = self.client.topology.sim
             sim.schedule(
-                entry.ready_at - now, self._arrival_fired, entry,
+                entry.ready_at - sim.now, self._arrival_fired, entry,
                 label="identpp:answer-shared",
             )
 
@@ -468,10 +384,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        sim = self.client.topology.sim
-        return sim.now if sim is not None else 0.0
+        return now if now is not None else self.client.topology.sim.now
 
     def _key(self, flow: FlowSpec, role: str, keys: Optional[Sequence[str]]) -> tuple:
         """Return the cache key: (host, role, key-set) + target proto/port.

@@ -152,6 +152,27 @@ class TestSerialBaselineCore:
         assert all(gap == pytest.approx(gaps[0]) for gap in gaps)
         assert gaps[0] > eval_delay
 
+    def test_serial_core_holds_the_stage_while_answers_are_in_flight(self):
+        # The serial core runs on the async query path but takes the
+        # stage *before* dispatch: while the head punt's answers are on
+        # the wire it keeps the stage, and the rest of the burst waits
+        # with its queries not yet sent.
+        net = build_net("serial-window", decision_core="serial", serialize_decisions=True)
+        flows = open_flows(net, 4)
+        net.run(0.0003)  # punts delivered, head queries in flight
+        controller = net.controller
+        serial = controller._serial
+        assert controller.inflight_count() == len(flows)
+        head = controller._inflight[flows[0]]
+        assert head.stage == "query"
+        assert serial.busy and serial.holds(head)
+        assert [task.flow for task in serial._queue] == flows[1:]
+        assert all(task.stage == "wait" for task in serial._queue)
+        assert serial.depth() == len(flows)
+        net.run()
+        assert None not in decision_times(net, flows)
+        assert serial.served == len(flows) and serial.depth() == 0
+
 
 class TestEngineAsyncQueries:
     def test_miss_completes_at_answer_arrival(self):
@@ -297,15 +318,31 @@ class TestUncoveredPendingProbe:
         net.run()
 
 
+def spy_evals(controller):
+    """Record every eval the controller starts (both cores reach ``_eval_step``)."""
+    evals = []
+    original = controller._eval_step
+
+    def spy(task):
+        evals.append(task.flow)
+        original(task)
+
+    controller._eval_step = spy
+    return evals
+
+
 class TestMidQueryKillFailover:
-    def test_kill_between_query_dispatch_and_answer_arrival(self):
-        # The async core's new failure window: the punt dispatched its
-        # endpoint queries (a DecisionTask is in flight, answers are
-        # scheduled events) when the owner dies.  The flow must be
-        # exported to the successor and decided exactly once — the
-        # orphaned answer/eval continuations on the corpse must not
-        # produce a second decision.
-        net = build_cluster()
+    @pytest.mark.parametrize("decision_core", ["async", "serial"])
+    def test_kill_between_query_dispatch_and_answer_arrival(self, decision_core):
+        # The failure window of a punt whose endpoint queries are out (a
+        # DecisionTask is in flight, answers are scheduled events) when
+        # the owner dies.  Under the serial core the task also holds the
+        # serial stage.  The flow must be exported to the successor and
+        # decided exactly once — the orphaned answer/eval continuations
+        # on the corpse must not produce a second decision.
+        net = build_cluster(
+            controller_config=ControllerConfig(decision_core=decision_core)
+        )
         client = net.host("client")
         packet, _, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
         flow = FlowSpec.from_packet(packet)
@@ -317,6 +354,8 @@ class TestMidQueryKillFailover:
         assert dead.inflight_count() == 1
         [task] = dead._inflight.values()
         assert task.stage == "query"  # answers genuinely still in flight
+        assert dead._serial.holds(task) == (decision_core == "serial")
+        evals = spy_evals(dead)
 
         net.start_monitoring()
         net.cluster.kill(owner)
@@ -331,10 +370,70 @@ class TestMidQueryKillFailover:
         assert [r.action for r in net.cluster.replicas[successor].audit.records()] == ["pass"]
         assert dead.audit.records() == []
         assert dead.inflight_count() == 0
+        assert dead._serial.depth() == 0
+        assert evals == []
         assert len(net.host("server").delivered) == 1
         assert net.cluster.pending_total() == 0
         assert net.switches["sw"].buffered_count() == 0
         assert net.cluster.repunted_flows == 1
+
+    @pytest.mark.parametrize("decision_core", ["async", "serial"])
+    def test_answers_landing_after_reset_start_no_eval(self, decision_core):
+        # Slow daemons keep the corpse's answers on the wire until after
+        # the failover export has reset its serial stage and the shard
+        # has been restored and taken new punts.  When the orphaned
+        # answers land they must find their task superseded: no eval,
+        # and no release of the stage a new punt now holds.
+        net = build_cluster(
+            controller_config=ControllerConfig(
+                decision_core=decision_core, serialize_decisions=True,
+            )
+        )
+        for daemon in net.daemons.values():
+            daemon.processing_delay = 0.3
+        client = net.host("client")
+        packet, _, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
+        flow = FlowSpec.from_packet(packet)
+        owner = net.cluster.shard_map.owner(flow)
+        net.run(0.0005)
+        dead = net.cluster.replicas[owner]
+        [task] = dead._inflight.values()
+        assert task.stage == "query"
+        evals = spy_evals(dead)
+
+        net.start_monitoring()
+        net.cluster.kill(owner)
+        net.run(0.2)  # detected and exported; the answers are still out
+        assert net.cluster.repunted_flows == 1
+        assert dead.pending_flows() == [] and dead._serial.depth() == 0
+        assert dead.query_latency.count == 0  # nothing has landed yet
+
+        net.cluster.restore(owner)
+        fresh = open_flows(net, 8)
+        mine = [f for f in fresh if net.cluster.shard_map.owner(f) == owner]
+        assert mine  # the revived shard has new work of its own
+        net.run(0.15)  # the orphaned answers land; the new ones are still out
+        assert dead.query_latency.count == 1
+        assert evals == []
+        if decision_core == "serial":
+            # The new head still holds the stage the orphan once held.
+            assert dead._serial.holds(dead._inflight[mine[0]])
+        else:
+            assert not dead._serial.busy
+        net.stop_monitoring()
+        net.run()
+
+        assert flow not in evals
+        assert sorted(evals, key=str) == sorted(mine, key=str)
+        assert dead._serial.depth() == 0
+        for decided_flow in [flow] + fresh:
+            decided = [
+                record for replica in net.cluster.replicas.values()
+                for record in replica.audit.records()
+                if record.flow == decided_flow and not record.cached
+            ]
+            assert [r.action for r in decided] == ["pass"]
+        assert net.cluster.pending_total() == 0
 
     def test_mid_query_kill_with_serialized_successor(self):
         # Same window, but every replica serializes policy eval — the

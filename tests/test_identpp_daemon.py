@@ -8,6 +8,7 @@ from repro.hosts.endhost import EndHost
 from repro.identpp.client import QueryClient
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.daemon_config import DaemonConfig, parse_daemon_config
+from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import IdentQuery
 from repro.netsim.nodes import Node
@@ -239,7 +240,8 @@ class TestQueryClient:
         IdentPPDaemon(server)
         packet, _, _ = client.open_flow("http", "alice", "192.168.1.1", 80, send=False)
         flow = FlowSpec.from_packet(packet)
-        client_query = QueryClient(topo)
-        outcomes = client_query.query_both_ends(flow, from_node=switch)
+        futures = QueryEngine(QueryClient(topo)).query_both_ends_async(flow, from_node=switch)
+        topo.sim.run()
+        outcomes = [future.result() for future in futures]
         assert len(outcomes) == 2
         assert QueryClient.combined_latency(outcomes) == max(o.latency for o in outcomes)

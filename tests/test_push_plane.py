@@ -28,7 +28,7 @@ from repro.identpp.wire import (
 )
 from repro.workloads.invariants import check_bounded_state, network_flow_state
 
-from tests.test_query_engine import build_world, flow_to_server
+from tests.test_query_engine import answer, build_world, dispatch, flow_to_server
 
 POLICY = {"00.control": "block all\npass from any to any port 80 keep state\n"}
 
@@ -184,7 +184,7 @@ class TestEnginePush:
         # steady-state punt pays one more TTL round-trip.
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo)
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         assert engine.stats()["resident_entries"] == 0
 
@@ -193,7 +193,7 @@ class TestEnginePush:
         assert engine.stats()["resident_entries"] == 1
 
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
-        outcome = engine.query(flow_to_server(41000), "dst", from_node=switch)
+        outcome = answer(engine, flow_to_server(41000), "dst", from_node=switch)
         assert outcome.succeeded()
         assert engine.resident_hits == 1
         assert int(daemon.queries_answered.value) == 1  # no new round trip
@@ -202,10 +202,10 @@ class TestEnginePush:
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo, ttl=0.5)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         topo.sim.run(until=topo.sim.now + 10.0)
-        engine.query(flow_to_server(41000), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(41000), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         assert engine.resident_hits == 1
 
@@ -236,7 +236,7 @@ class TestEnginePush:
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(), "dst", from_node=switch)
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
         assert engine.stats()["resident_entries"] == 1
 
@@ -248,7 +248,7 @@ class TestEnginePush:
         assert engine.stats()["resident_entries"] == 1
         # The refreshed resident answer carries the new fact — punts
         # converge without a daemon round trip on the punt path.
-        outcome = engine.query(flow_to_server(41000), "dst", from_node=switch)
+        outcome = answer(engine, flow_to_server(41000), "dst", from_node=switch)
         assert outcome.response.document.latest("os-patch") == "MS08-067"
 
         # A replayed delta (serial already applied) is a no-op.
@@ -263,7 +263,7 @@ class TestEnginePush:
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo, ttl=0.0)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(), "dst", from_node=switch)
         assert daemon.subscriber_count() == 1
         assert len(daemon._invalidation_listeners) == 1
 
@@ -289,7 +289,7 @@ class TestEnginePush:
         topo, switch, _, server, old_daemon = build_world()
         engine = make_engine(topo)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(engine, flow_to_server(), "dst", from_node=switch)
         assert old_daemon.subscriber_count() == 1
 
         new_daemon = IdentPPDaemon(server)  # upgrade: replaces the old object
@@ -303,7 +303,7 @@ class TestEnginePush:
         topo, switch, _, server, daemon = build_world()
         first = make_engine(topo)
         assert first.subscribe_host(server.ip) is True
-        first.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(first, flow_to_server(), "dst", from_node=switch)
 
         records = first.export_push_state()
         assert [r["host_ip"] for r in records] == [server.ip]
@@ -320,14 +320,14 @@ class TestEnginePush:
         assert second.stats()["resident_entries"] == 1
         # Verbatim install: adoption cost zero daemon round trips.
         answered = int(daemon.queries_answered.value)
-        second.query(flow_to_server(41000), "dst", from_node=switch)
+        dispatch(second, flow_to_server(41000), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == answered
 
     def test_stale_adopt_reprimes_resident_answers(self):
         topo, switch, _, server, daemon = build_world()
         first = make_engine(topo)
         assert first.subscribe_host(server.ip) is True
-        first.query(flow_to_server(), "dst", from_node=switch)
+        dispatch(first, flow_to_server(), "dst", from_node=switch)
         topo.sim.run(until=topo.sim.now + 1.0)
         records = first.export_push_state()
 
@@ -340,7 +340,7 @@ class TestEnginePush:
         topo.sim.run(until=topo.sim.now + 1.0)
         # The successor re-primed through a refresh, so its resident
         # answer reflects the delta it never saw.
-        outcome = second.query(flow_to_server(41000), "dst", from_node=switch)
+        outcome = answer(second, flow_to_server(41000), "dst", from_node=switch)
         assert outcome.response.document.latest("os-patch") == "MS08-067"
         assert second._subs[str(server.ip)].serial == daemon.delta_serial
 

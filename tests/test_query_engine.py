@@ -7,7 +7,9 @@ spoofing, host compromise, config loads), controller and cluster
 integration — plus the three query-client bugfixes: unreachable hosts
 reported as timeouts (not silent successes), the interceptor-latency
 cache keyed on the topology mutation epoch, and per-role interceptor
-ordering in ``query_both_ends``.
+ordering in ``query_both_ends_async``.  Engine queries run on the
+simulator: tests advance its clock (``sim.run(until=t)``) instead of
+passing a time, and read outcomes from the returned futures.
 """
 
 import pytest
@@ -131,18 +133,41 @@ class TestPerRoleInterceptorOrdering:
         # the *source* must start from "far" (nearest the source).
         topo, switch, client_host, server, _ = build_world()
         near, far = NamedInterceptor("near"), NamedInterceptor("far")
-        qc = QueryClient(topo)
+        engine = QueryEngine(QueryClient(topo), ttl=10.0)
         flow = flow_to_server()
-        src_outcome, dst_outcome = qc.query_both_ends(
+        src_future, dst_future = engine.query_both_ends_async(
             flow, from_node=switch, interceptors=[near, far]
         )
-        assert dst_outcome.document.latest("answered-by") == "near"
-        assert src_outcome.document.latest("answered-by") == "far"
+        topo.sim.run()
+        assert dst_future.result().document.latest("answered-by") == "near"
+        assert src_future.result().document.latest("answered-by") == "far"
+        # Interceptors bypass the cache, so both queries went raw.
+        assert engine.interceptor_bypasses == 2 and len(engine) == 0
 
 
 # ----------------------------------------------------------------------
 # QueryEngine: cache, coalescing, negative cache
 # ----------------------------------------------------------------------
+
+
+def dispatch(engine, flow, role, *, at=None, **kwargs):
+    """Advance the simulator clock to ``at``, then dispatch one query."""
+    if at is not None:
+        engine.client.topology.sim.run(until=at)
+    return engine.query_async(flow, role, **kwargs)
+
+
+def answer(engine, flow, role, *, at=None, **kwargs):
+    """Dispatch one query at ``at`` and return its outcome once it lands."""
+    future = dispatch(engine, flow, role, at=at, **kwargs)
+    engine.client.topology.sim.run()
+    return future.result()
+
+
+def round_trip(flow, role="dst", **world):
+    """Return a fresh query's latency, measured in a throwaway world."""
+    topo, switch, _, _, _ = build_world(**world)
+    return QueryClient(topo).query(flow, role, from_node=switch).latency
 
 
 class TestEngineCache:
@@ -151,7 +176,7 @@ class TestEngineCache:
         engine = QueryEngine(QueryClient(topo), ttl=0.0)
         assert not engine.enabled
         for port in (40000, 40001):
-            outcome = engine.query(flow_to_server(port), "dst", from_node=switch)
+            outcome = answer(engine, flow_to_server(port), "dst", from_node=switch)
             assert outcome.succeeded() and not outcome.cached
         assert int(daemon.queries_answered.value) == 2
         assert engine.stats()["lookups"] == 0
@@ -159,20 +184,20 @@ class TestEngineCache:
     def test_hit_after_ready_and_miss_after_ttl(self):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        first = answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert first.succeeded() and not first.cached
         ready = first.latency
         # A different flow to the same server:port after the answer
         # "arrived" is a hit: zero latency, no daemon contact.
-        hit = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=ready + 0.1
+        hit = answer(
+            engine, flow_to_server(41000), "dst", from_node=switch, at=ready + 0.1
         )
         assert hit.cached and hit.latency == 0.0
         assert hit.document.latest("name") == "httpd"
         assert int(daemon.queries_answered.value) == 1
         # Past the TTL the entry is gone and the daemon is re-asked.
-        miss = engine.query(
-            flow_to_server(42000), "dst", from_node=switch, now=ready + 11.0
+        miss = answer(
+            engine, flow_to_server(42000), "dst", from_node=switch, at=ready + 11.0
         )
         assert not miss.cached
         assert int(daemon.queries_answered.value) == 2
@@ -189,8 +214,8 @@ class TestEngineCache:
         p1, _, _ = client_host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
         p2, _, _ = client_host.open_flow("skype", "alice", "192.168.1.1", 80, send=False)
         f1, f2 = FlowSpec.from_packet(p1), FlowSpec.from_packet(p2)
-        o1 = engine.query(f1, "src", from_node=switch, now=0.0)
-        o2 = engine.query(f2, "src", from_node=switch, now=1.0)
+        o1 = answer(engine, f1, "src", from_node=switch, at=0.0)
+        o2 = answer(engine, f2, "src", from_node=switch, at=1.0)
         assert o1.document.latest("name") == "http"
         assert o2.document.latest("name") == "skype"
         assert not o2.cached
@@ -200,14 +225,14 @@ class TestEngineCache:
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
         interceptor = NamedInterceptor("edge")
-        first = engine.query(
-            flow_to_server(40000), "dst", from_node=switch,
-            interceptors=[interceptor], now=0.0,
+        first = answer(
+            engine, flow_to_server(40000), "dst", from_node=switch,
+            interceptors=[interceptor], at=0.0,
         )
         assert first.intercepted
         assert len(engine) == 0
         # Without the interceptor the daemon is asked fresh.
-        second = engine.query(flow_to_server(40001), "dst", from_node=switch, now=0.0)
+        second = answer(engine, flow_to_server(40001), "dst", from_node=switch)
         assert not second.cached and second.answered_by == "server"
 
     def test_interceptors_bypass_a_warm_cache(self):
@@ -215,11 +240,11 @@ class TestEngineCache:
         # not pre-empt an on-path controller's chance to answer.
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
-        engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert len(engine) == 1
-        outcome = engine.query(
-            flow_to_server(41000), "dst", from_node=switch,
-            interceptors=[NamedInterceptor("edge")], now=1.0,
+        outcome = answer(
+            engine, flow_to_server(41000), "dst", from_node=switch,
+            interceptors=[NamedInterceptor("edge")], at=1.0,
         )
         assert outcome.intercepted and not outcome.cached
         assert outcome.document.latest("answered-by") == "edge"
@@ -232,14 +257,14 @@ class TestEngineCache:
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
         flow_a, flow_b = flow_to_server(40000), flow_to_server(41000)
         daemon.runtime.publish_for_flow(flow_a, {"authorized": "yes"})
-        first = engine.query(flow_a, "dst", from_node=switch, now=0.0)
+        first = answer(engine, flow_a, "dst", from_node=switch, at=0.0)
         assert first.document.latest("authorized") == "yes"
         # Same-flow re-punt may reuse the flow-scoped entry...
-        repunt = engine.query(flow_a, "dst", from_node=switch, now=1.0)
+        repunt = answer(engine, flow_a, "dst", from_node=switch, at=1.0)
         assert repunt.cached
         assert int(daemon.queries_answered.value) == 1
         # ...but a different flow queries fresh and never sees A's pair.
-        other = engine.query(flow_b, "dst", from_node=switch, now=2.0)
+        other = answer(engine, flow_b, "dst", from_node=switch, at=2.0)
         assert not other.cached
         assert other.document.latest("authorized") is None
         assert int(daemon.queries_answered.value) == 2
@@ -249,13 +274,16 @@ class TestEngineCoalescing:
     def test_concurrent_punts_share_one_outstanding_query(self):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        ready = first.latency
+        ready = round_trip(flow_to_server(40000))
+        first = dispatch(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         # While the first query is "in flight", every punt coalesces:
         # same answer, charged only the remaining wait.
-        later = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=ready / 2
+        later = dispatch(
+            engine, flow_to_server(41000), "dst", from_node=switch, at=ready / 2
         )
+        topo.sim.run()
+        assert first.result().latency == pytest.approx(ready)
+        later = later.result()
         assert later.coalesced
         assert later.latency == pytest.approx(ready / 2)
         assert later.document.latest("name") == "httpd"
@@ -269,17 +297,17 @@ class TestEngineNegativeCache:
         topo, switch, _, _, _ = build_world(server_daemon=False, serve=None)
         qc = QueryClient(topo)
         engine = QueryEngine(qc, ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        first = answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert first.timed_out and first.latency == qc.timeout
         # Within the TTL every further flow pays nothing.
-        hit = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=qc.timeout + 0.01
+        hit = answer(
+            engine, flow_to_server(41000), "dst", from_node=switch, at=qc.timeout + 0.01
         )
         assert hit.timed_out and hit.cached and hit.latency == 0.0
         assert int(qc.queries_timed_out.value) == 1
         assert engine.stats()["negative_hits"] == 1
         # Past the TTL the host is probed again.
-        again = engine.query(flow_to_server(42000), "dst", from_node=switch, now=20.0)
+        again = answer(engine, flow_to_server(42000), "dst", from_node=switch, at=20.0)
         assert again.timed_out and not again.cached
         assert int(qc.queries_timed_out.value) == 2
 
@@ -287,9 +315,9 @@ class TestEngineNegativeCache:
         topo, switch, _, _, _ = build_world(server_daemon=False, serve=None)
         qc = QueryClient(topo)
         engine = QueryEngine(qc, ttl=10.0)
-        engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        shared = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=qc.timeout / 2
+        dispatch(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
+        shared = answer(
+            engine, flow_to_server(41000), "dst", from_node=switch, at=qc.timeout / 2
         )
         assert shared.timed_out and shared.coalesced
         assert shared.latency == pytest.approx(qc.timeout / 2)
@@ -298,10 +326,10 @@ class TestEngineNegativeCache:
     def test_daemon_appearing_mid_ttl_is_noticed_immediately(self):
         topo, switch, _, server, _ = build_world(server_daemon=False, serve=None)
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
-        engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert len(engine) == 1
         IdentPPDaemon(server)
-        revived = engine.query(flow_to_server(41000), "dst", from_node=switch, now=1.0)
+        revived = answer(engine, flow_to_server(41000), "dst", from_node=switch, at=1.0)
         assert revived.succeeded() and not revived.cached
 
     def test_unreachable_entry_invalidated_by_topology_change(self):
@@ -311,14 +339,14 @@ class TestEngineNegativeCache:
         topo.add_node(server)
         topo.register_ip(server.ip, server)
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
-        cut_off = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        cut_off = answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert cut_off.timed_out and cut_off.unreachable
         # Still partitioned: the negative entry answers.
-        again = engine.query(flow_to_server(41000), "dst", from_node=switch, now=1.0)
+        again = answer(engine, flow_to_server(41000), "dst", from_node=switch, at=1.0)
         assert again.timed_out and (again.cached or again.coalesced)
         # Repairing the network invalidates it on the next lookup.
         topo.add_link(server, switch, latency=1e-3)
-        healed = engine.query(flow_to_server(42000), "dst", from_node=switch, now=2.0)
+        healed = answer(engine, flow_to_server(42000), "dst", from_node=switch, at=2.0)
         assert healed.succeeded()
         assert int(daemon.queries_answered.value) == 1
 
@@ -332,13 +360,13 @@ class TestEngineInvalidation:
     def warm(self):
         topo, switch, client_host, server, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=1000.0)
-        outcome = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        outcome = answer(engine, flow_to_server(40000), "dst", from_node=switch, at=0.0)
         assert outcome.succeeded() and len(engine) == 1
         return engine, switch, server, daemon
 
     def assert_requeries(self, engine, switch, daemon):
         assert len(engine) == 0
-        fresh = engine.query(flow_to_server(49000), "dst", from_node=switch, now=500.0)
+        fresh = answer(engine, flow_to_server(49000), "dst", from_node=switch, at=500.0)
         assert not fresh.cached
         assert int(daemon.queries_answered.value) == 2
 
@@ -380,8 +408,10 @@ class TestEngineInvalidation:
             "http", "alice", "192.168.1.1", 80, send=False
         )
         flow = FlowSpec.from_packet(packet)
-        engine.query(flow, "src", from_node=switch, now=0.0)
-        engine.query(flow, "dst", from_node=switch, now=0.0)
+        # Both ends are asked at the same instant, before either lands.
+        dispatch(engine, flow, "src", from_node=switch, at=0.0)
+        dispatch(engine, flow, "dst", from_node=switch, at=0.0)
+        topo.sim.run()
         assert len(engine) == 2
         # The *server's* state changes; the client's cached answer stays.
         server_daemon.runtime.publish_for_flow(flow, {"k": "v"})
@@ -393,7 +423,7 @@ class TestEngineInvalidation:
         engine, switch, _, daemon = self.warm()
         assert engine.invalidate_host("192.168.1.1", "admin") == 1
         assert len(engine) == 0
-        engine.query(flow_to_server(41000), "dst", from_node=switch, now=0.0)
+        answer(engine, flow_to_server(41000), "dst", from_node=switch)
         assert engine.expirable_count() == 1
         assert engine.next_expiry() is not None
         assert engine.expire(now=5000.0) == 1

@@ -8,11 +8,11 @@ class FacadeController:
     def decide(self, flow, switch):
         # The engine caches, coalesces, serves resident answers and
         # hooks invalidation — the one legitimate query path.
-        src, dst = self.query_engine.query_both_ends(flow, from_node=switch)
+        src, dst = self.query_engine.query_both_ends_async(flow, from_node=switch)
         return src, dst
 
     def decide_async(self, flow):
         return self.query_engine.query_async(flow, "src")
 
     def single_end(self, flow):
-        return self.query_engine.query(flow, "dst")
+        return self.query_engine.query_async(flow, "dst")

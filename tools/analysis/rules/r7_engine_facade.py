@@ -21,7 +21,9 @@ import ast
 
 from tools.analysis.core import ParsedModule, Violation
 
-#: The QueryClient query surface (``QueryEngine`` mirrors every name).
+#: The query method names R7 watches on a raw client.  The engine's own
+#: surface is the ``*_async`` pair; the blocking names stay listed so a
+#: reintroduced synchronous client call is still caught.
 QUERY_METHODS = {"query", "query_async", "query_both_ends", "query_both_ends_async"}
 
 #: Receiver names that identify a raw :class:`QueryClient` in this repo
@@ -65,6 +67,7 @@ class EngineFacadeRule:
                 continue
             if receiver_name not in CLIENT_RECEIVERS:
                 continue
+            facade = func.attr if func.attr.endswith("_async") else f"{func.attr}_async"
             violations.append(
                 module.violation(
                     self.rule_id,
@@ -72,7 +75,7 @@ class EngineFacadeRule:
                     f"direct `{receiver_name}.{func.attr}()` bypasses the "
                     f"QueryEngine facade — the answer skips the cache, the "
                     f"resident store, coalescing and invalidation hooks; "
-                    f"call `query_engine.{func.attr}()` instead",
+                    f"call `query_engine.{facade}()` instead",
                 )
             )
         return violations
